@@ -55,14 +55,10 @@ from repro.errors import (
     RevisionError,
     SchemaError,
 )
-from repro.fleet import FleetBatch, FleetEngine, FleetExecutor, FleetReport
+from repro.fleet import FleetBatch, FleetEngine, FleetReport
 from repro.gateway import API_VERSION, PricingService, TenantSession
 
-# Imported after repro.gateway: repro.fleet.mp uses the gateway's wire
-# codec, so it must not load while repro.gateway is mid-initialization.
-from repro.fleet.mp import MultiProcessFleet
-
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "__version__",
@@ -89,9 +85,7 @@ __all__ = [
     # fleet
     "FleetBatch",
     "FleetEngine",
-    "FleetExecutor",
     "FleetReport",
-    "MultiProcessFleet",
     # gateway (the public service surface)
     "API_VERSION",
     "PricingService",

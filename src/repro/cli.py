@@ -29,6 +29,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.errors import GameConfigError
 from repro.experiments import (
     AdvisorLoopConfig,
     Fig1Config,
@@ -40,7 +41,6 @@ from repro.experiments import (
     Fig5Config,
     format_result,
     format_summary,
-    measure_fleet_mp_point,
     measure_fleet_point,
     measure_gateway_point,
     run_advisor_loop,
@@ -187,11 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mean-cost", type=float, default=30.0, help="mean per-game cost"
     )
     fleet.add_argument("--shards", type=int, default=8, help="fleet shard count")
-    fleet.add_argument(
-        "--workers", type=int, default=0,
-        help="race a shared-nothing multi-process pool of this many workers "
-        "against the in-process engine (0/1 = classic services race)",
-    )
     fleet.add_argument(
         "--repeats", type=int, default=2, help="timing repeats (best-of)"
     )
@@ -375,27 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_fleet(args) -> int:
-    if args.workers > 1:
-        print(
-            f"== fleet-mp: {args.games} games, {args.users} users, "
-            f"{args.slots} slots, {args.workers} workers "
-            f"(bit-identical outcomes asserted) =="
-        )
-        single_s, pool_s = measure_fleet_mp_point(
-            games=args.games,
-            users=args.users,
-            slots=args.slots,
-            max_duration=args.duration,
-            mean_cost=args.mean_cost,
-            shards=args.shards,
-            repeats=args.repeats,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        print(f"single-process engine {single_s:>8.3f} s")
-        print(f"{f'{args.workers}-worker pool':<22}{pool_s:>8.3f} s")
-        print(f"speedup               {single_s / pool_s:>8.2f} x")
-        return 0
     if args.gateway:
         print(
             f"== gateway: {args.games} games, {args.users} users, "
@@ -668,7 +642,19 @@ def _emit(result, args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except GameConfigError as exc:
+        # Values argparse cannot vet (a zero trial count, bids longer
+        # than the horizon) fail the way a malformed flag does: one
+        # usage line on stderr and exit status 2, no traceback.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     if args.command == "list":
         for name, (_, section, description) in FIGURES.items():
             print(f"{name:<7} Section {section:<6} {description}")

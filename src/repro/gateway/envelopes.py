@@ -11,7 +11,7 @@ Wire shape
 ----------
 A serialized envelope is a flat JSON object::
 
-    {"api": "1.6", "kind": "SubmitBids", "tenant": "ann", "bids": [...]}
+    {"api": "1.7", "kind": "SubmitBids", "tenant": "ann", "bids": [...]}
 
 ``api`` is :data:`API_VERSION` (checked on decode; a mismatch raises
 :class:`~repro.errors.ProtocolError` with code ``"version"``), ``kind``
@@ -89,8 +89,9 @@ __all__ = [
 #: :class:`MetricsReply` pair reading the process-wide
 #: :mod:`repro.obs` registry — and removed the deprecated
 #: ``dispatch_many``/``dispatch_dict`` aliases API 1.5 had kept as
-#: warning shims.
-API_VERSION = "1.6"
+#: warning shims. 1.7 removed the multi-process pool and with it
+#: ``Configure.workers`` and ``ConfigReply.workers``.
+API_VERSION = "1.7"
 
 #: Query kinds :class:`RunQuery` accepts (the astronomy workload surface).
 QUERY_KINDS = ("members", "histogram", "top", "chain", "contributors")
@@ -156,7 +157,6 @@ class Configure(Request):
     optimizations: tuple
     horizon: int
     shards: int = 1
-    workers: int = 0
 
     def _normalize(self) -> None:
         # Coercion doubles as wire-side type checking: a badly-typed
@@ -171,7 +171,6 @@ class Configure(Request):
         )
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "shards", int(self.shards))
-        object.__setattr__(self, "workers", int(self.workers))
 
 
 @dataclass(frozen=True)
@@ -326,13 +325,11 @@ class MetricsRequest(Request):
 
 @dataclass(frozen=True)
 class ConfigReply(Reply):
-    """The period is open: game count, horizon, and the executor shape
-    (``workers == 0`` means the in-process engine) echoed back."""
+    """The period is open: game count and horizon echoed back."""
 
     games: int
     horizon: int
     shards: int
-    workers: int = 0
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
+from repro.gateway import API_VERSION
 
 
 class TestParser:
@@ -132,6 +133,22 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "dispatch overhead" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "--games", "0"],
+            ["fleet", "--slots", "2"],
+            ["fig2a", "--trials", "0"],
+        ],
+    )
+    def test_bad_argument_values_are_usage_errors(self, argv, capsys):
+        # Values argparse cannot vet surface as one argparse-style line
+        # on stderr with exit status 2, not a GameConfigError traceback.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+
     def test_advise_smoke(self, capsys):
         assert main(
             ["advise", "--particles", "800", "--snapshots", "2", "--slots", "4"]
@@ -143,14 +160,14 @@ class TestExecution:
 
 class TestReplayCommand:
     TRACE = [
-        {"api": "1.6", "kind": "Configure",
+        {"api": API_VERSION, "kind": "Configure",
          "optimizations": [["idx", 40.0]], "horizon": 3, "shards": 1},
-        {"api": "1.6", "kind": "SubmitBids", "tenant": "ann",
+        {"api": API_VERSION, "kind": "SubmitBids", "tenant": "ann",
          "bids": [["idx", 1, [30.0, 15.0]]]},
-        {"api": "1.6", "kind": "SubmitBids", "tenant": "bob",
+        {"api": API_VERSION, "kind": "SubmitBids", "tenant": "bob",
          "bids": [["idx", 1, [20.0]]]},
-        {"api": "1.6", "kind": "AdvanceSlots", "slots": 3},
-        {"api": "1.6", "kind": "LedgerQuery", "tenant": "ann"},
+        {"api": API_VERSION, "kind": "AdvanceSlots", "slots": 3},
+        {"api": API_VERSION, "kind": "LedgerQuery", "tenant": "ann"},
     ]
 
     def _write(self, tmp_path, lines):
@@ -188,7 +205,7 @@ class TestReplayCommand:
 
     def test_strict_fails_on_errors(self, tmp_path, capsys):
         path = self._write(
-            tmp_path, self.TRACE + [{"api": "1.6", "kind": "Mystery"}]
+            tmp_path, self.TRACE + [{"api": API_VERSION, "kind": "Mystery"}]
         )
         assert main(["replay", str(path)]) == 0  # tolerant by default
         capsys.readouterr()
@@ -197,7 +214,7 @@ class TestReplayCommand:
 
     def test_replay_with_universe_queries(self, tmp_path, capsys):
         trace = [
-            {"api": "1.6", "kind": "RunQuery", "tenant": "ada",
+            {"api": API_VERSION, "kind": "RunQuery", "tenant": "ada",
              "query": "members", "table": "snap_02", "halo": 0},
         ]
         path = self._write(tmp_path, trace)

@@ -1,36 +1,19 @@
-"""The shared-nothing multi-process fleet, bit-for-bit against in-process.
+"""Structured intake errors of the fleet engine.
 
-The acceptance contract of :class:`repro.fleet.mp.MultiProcessFleet`: for
-the same intake, the worker pool must produce *exactly* the outcomes,
-metered costs, billing ledger, and event log of the in-process
-:class:`~repro.fleet.engine.FleetEngine` — at every worker count, and
-even when a worker process is literally killed mid-period (the master
-respawns it and replays its command history). Also covered here: the
-:class:`~repro.fleet.executor.FleetExecutor` seam (`FleetEngine.build`
-backend selection, close semantics, structured intake errors), ShardMap
-ownership edge cases, and the executor choice surfacing through the
-gateway (``Configure.workers`` / ``ConfigReply.workers``).
+Ragged or misaligned :class:`~repro.fleet.FleetBatch` columns, bulk
+intake after the first slot, and advancing past the horizon each raise
+their own typed error. The ``executor`` fixture builds an in-process
+:class:`~repro.fleet.engine.FleetEngine`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro import (
-    AdditiveBid,
-    FleetExecutor,
-    GameConfigError,
-    MechanismError,
-    MultiProcessFleet,
-    PricingService,
-    ProtocolError,
-)
+from repro import GameConfigError, MechanismError, ProtocolError
 from repro.cloudsim import OptimizationCatalog
-from repro.fleet import FleetBatch, FleetEngine, ShardMap
-from repro.gateway import AdvanceSlots, Configure, SubmitBids
+from repro.fleet import FleetBatch, FleetEngine
 from repro.workloads.fleet import fleet_batches, fleet_game_costs
 
 
@@ -38,302 +21,9 @@ def make_catalog(games: int, seed: int = 2012) -> OptimizationCatalog:
     return OptimizationCatalog.from_costs(fleet_game_costs(seed, games, 30.0))
 
 
-def assert_reports_identical(expected, actual) -> None:
-    """Bitwise identity: outcomes, metered costs, ledger, event log."""
-    assert dict(actual.payments) == dict(expected.payments)
-    assert dict(actual.granted_at) == dict(expected.granted_at)
-    assert dict(actual.implemented) == dict(expected.implemented)
-    assert dict(actual.game_revenue) == dict(expected.game_revenue)
-    assert actual.ledger == expected.ledger
-    assert actual.events == expected.events
-    assert actual.epoch == expected.epoch
-    assert actual.games == expected.games
-
-
-def drive_period(fleet, *, seed=7, users=120, kill=()):
-    """One deterministic mixed period: bulk intake, then handle bids and
-    upward revisions interleaved with slot advances. ``kill`` names
-    worker indexes to ``Process.kill()`` right after the first advance.
-    """
-    games = len(list(fleet.catalog))
-    opt = list(fleet.catalog)
-    horizon = fleet.horizon
-    fleet.ingest_many(fleet_batches(seed, users, games, horizon, 3))
-    fleet.place_bid("alice", opt[0], AdditiveBid.over(2, (30.0, 25.0, 10.0)))
-    fleet.place_bid(("tup", 1), opt[1 % games], AdditiveBid.over(1, (60.0, 5.0)))
-    fleet.advance_slots(2)
-    for worker in kill:
-        fleet.processes[worker].kill()
-        fleet.processes[worker].join(timeout=5.0)
-    fleet.place_bid("bob", opt[0], AdditiveBid.over(4, (45.0, 20.0)))
-    fleet.revise_bid("alice", opt[0], {4: 50.0})
-    fleet.advance_slot()
-    fleet.revise_bid("bob", opt[0], {5: 80.0, 6: 10.0})
-    return fleet.run_to_end()
-
-
-def run_period(workers, *, games=6, shards=4, horizon=10, kill=()):
-    catalog = make_catalog(games)
-    fleet = FleetEngine.build(
-        catalog, horizon, shards=shards, workers=workers
-    )
-    try:
-        return drive_period(fleet, kill=kill)
-    finally:
-        fleet.close()
-
-
-# ------------------------------------------------------- backend selection --
-
-
-class TestBuildSeam:
-    def test_zero_and_one_worker_are_in_process(self):
-        for workers in (0, 1):
-            fleet = FleetEngine.build(make_catalog(3), 5, workers=workers)
-            assert type(fleet) is FleetEngine
-            assert isinstance(fleet, FleetExecutor)
-            assert fleet.workers == 0
-
-    def test_many_workers_build_the_pool(self):
-        fleet = FleetEngine.build(make_catalog(5), 5, workers=2)
-        try:
-            assert type(fleet) is MultiProcessFleet
-            assert isinstance(fleet, FleetExecutor)
-            assert fleet.workers == 2
-            # shards default to the worker count: every worker owns one.
-            assert fleet.shards.shards == 2
-            assert len(fleet.processes) == 2
-            assert all(proc.is_alive() for proc in fleet.processes)
-            assert all(proc.daemon for proc in fleet.processes)
-        finally:
-            fleet.close()
-
-    def test_mapping_catalog_and_bad_workers(self):
-        fleet = FleetEngine.build({"a": 10.0, "b": 20.0}, 4, workers=0)
-        assert fleet.rank_of("b") == 1
-        with pytest.raises(GameConfigError):
-            FleetEngine.build(make_catalog(2), 4, workers=-1)
-        with pytest.raises(GameConfigError):
-            MultiProcessFleet(make_catalog(2), 4, workers=0)
-
-
-# ------------------------------------------------------------ bit identity --
-
-
-class TestBitIdentity:
-    @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_mixed_period_identical_at_every_worker_count(self, workers):
-        # workers=5 against shards=4 leaves one worker idle — the merge
-        # must not care.
-        expected = run_period(0)
-        assert_reports_identical(expected, run_period(workers))
-
-    def test_single_worker_pool_matches(self):
-        # A 1-worker pool exercises the full pipe/codec/merge machinery
-        # with no actual sharding.
-        expected = run_period(0)
-        fleet = MultiProcessFleet(make_catalog(6), 10, shards=4, workers=1)
-        try:
-            assert_reports_identical(expected, drive_period(fleet))
-        finally:
-            fleet.close()
-
-    def test_clock_and_epoch_track_the_engine(self):
-        engine = FleetEngine.build(make_catalog(4), 6, shards=2)
-        pool = FleetEngine.build(make_catalog(4), 6, shards=2, workers=2)
-        try:
-            batches = fleet_batches(11, 60, 4, 6, 3)
-            assert engine.ingest_many(batches) == pool.ingest_many(batches)
-            while engine.slot < engine.horizon:
-                engine.advance_slot()
-                pool.advance_slot()
-                assert pool.slot == engine.slot
-                assert pool.epoch == engine.epoch
-        finally:
-            pool.close()
-
-    @settings(max_examples=5, deadline=None)
-    @given(data=st.data())
-    def test_property_identity_across_backends(self, data):
-        games = data.draw(st.integers(1, 5), label="games")
-        horizon = data.draw(st.integers(2, 8), label="horizon")
-        shards = data.draw(st.integers(1, 5), label="shards")
-        workers = data.draw(st.sampled_from((2, 3)), label="workers")
-        users = data.draw(st.integers(0, 60), label="users")
-        seed = data.draw(st.integers(0, 2**20), label="seed")
-        kill_worker = data.draw(
-            st.one_of(st.none(), st.integers(0, workers - 1)), label="kill"
-        )
-        n_handle = data.draw(st.integers(0, 3), label="handle bids")
-        rng = np.random.default_rng(seed)
-        handle_bids = []
-        for i in range(n_handle):
-            start = int(rng.integers(1, horizon + 1))
-            duration = int(rng.integers(1, horizon - start + 2))
-            values = tuple(float(v) for v in rng.uniform(0.0, 40.0, duration))
-            handle_bids.append(
-                (f"h{i}", int(rng.integers(0, games)), start, values)
-            )
-        advance_first = data.draw(st.integers(0, horizon - 1), label="advance")
-
-        def run(workers_n):
-            catalog = make_catalog(games, seed=seed)
-            opt = list(catalog)
-            fleet = FleetEngine.build(
-                catalog, horizon, shards=shards, workers=workers_n
-            )
-            try:
-                if users:
-                    fleet.ingest_many(
-                        fleet_batches(seed, users, games, horizon, 2)
-                    )
-                if advance_first:
-                    fleet.advance_slots(advance_first)
-                if workers_n and kill_worker is not None:
-                    fleet.processes[kill_worker].kill()
-                for user, rank, start, values in handle_bids:
-                    if start > fleet.slot:
-                        fleet.place_bid(
-                            user, opt[rank], AdditiveBid.over(start, values)
-                        )
-                return fleet.run_to_end()
-            finally:
-                fleet.close()
-
-        assert_reports_identical(run(0), run(workers))
-
-
-# --------------------------------------------------------- crash tolerance --
-
-
-class TestCrashTolerance:
-    def test_killed_workers_respawn_and_change_nothing(self):
-        expected = run_period(0)
-        assert_reports_identical(expected, run_period(3, kill=(0, 1)))
-
-    def test_kill_between_every_advance(self):
-        catalog = make_catalog(5)
-        engine = FleetEngine.build(catalog, 6, shards=3)
-        pool = FleetEngine.build(catalog, 6, shards=3, workers=2)
-        try:
-            batches = fleet_batches(13, 80, 5, 6, 3)
-            engine.ingest_many(batches)
-            pool.ingest_many(batches)
-            victim = 0
-            while pool.slot < pool.horizon:
-                pool.processes[victim].kill()
-                victim = (victim + 1) % pool.workers
-                engine.advance_slot()
-                pool.advance_slot()
-            assert_reports_identical(engine.report(), pool.report())
-        finally:
-            pool.close()
-
-
-# ---------------------------------------------------- metric continuity --
-
-
-class TestMetricContinuity:
-    """Fleet metrics live in the *master* process, so worker kills can
-    never reset them: respawns are counted, and every counter is
-    monotone across the crash-and-replay cycle."""
-
-    def test_respawns_are_counted_across_worker_kills(self):
-        from repro import obs
-
-        respawns = obs.REGISTRY.counter("repro_fleet_respawns_total")
-        before = respawns.value
-        expected = run_period(0)
-        assert respawns.value == before  # in-process: nothing to respawn
-        assert_reports_identical(expected, run_period(3, kill=(0, 1)))
-        assert respawns.value >= before + 2  # one per killed worker
-
-    def test_counters_survive_kills_and_never_go_backwards(self):
-        from repro import obs
-
-        chunks = obs.REGISTRY.histogram(
-            "repro_fleet_worker_chunk_seconds", "", ("worker",)
-        )
-        slots = obs.REGISTRY.histogram("repro_fleet_slot_advance_seconds")
-        catalog = make_catalog(5)
-        pool = FleetEngine.build(catalog, 6, shards=3, workers=2)
-        try:
-            pool.ingest_many(fleet_batches(13, 80, 5, 6, 3))
-            observed: list[int] = []
-            victim = 0
-            while pool.slot < pool.horizon:
-                pool.processes[victim].kill()
-                victim = (victim + 1) % pool.workers
-                pool.advance_slot()
-                observed.append(
-                    sum(
-                        chunks.labels(worker=str(w)).count
-                        for w in range(pool.workers)
-                    )
-                )
-            assert observed == sorted(observed)  # monotone through kills
-            assert observed[-1] > 0
-        finally:
-            pool.close()
-        # The single-process engine's per-slot histogram is master-side
-        # state too and keeps its count after the pool is gone.
-        engine = FleetEngine.build(catalog, 6, shards=3)
-        before = slots.count
-        engine.ingest_many(fleet_batches(13, 80, 5, 6, 3))
-        engine.run_to_end()
-        assert slots.count >= before + 6
-
-
-# ------------------------------------------------------- shard-map edges --
-
-
-class TestShardMapEdges:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_single_shard_period(self, workers):
-        # One shard: with a pool, every game lands on worker 0 and the
-        # others idle — outcomes still identical.
-        report = run_period(workers, shards=1)
-        assert_reports_identical(run_period(0, shards=1), report)
-
-    @pytest.mark.parametrize("workers", [0, 3])
-    def test_more_shards_than_games(self, workers):
-        report = run_period(workers, games=2, shards=7)
-        assert_reports_identical(run_period(0, games=2, shards=7), report)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 8])
-    def test_owned_ranks_partition_the_catalog(self, workers):
-        shard_map = ShardMap(n_games=11, shards=5)
-        seen: dict[int, int] = {}
-        for worker in range(workers):
-            for rank in shard_map.owned_ranks(worker, workers):
-                assert rank not in seen
-                seen[rank] = worker
-                assert shard_map.owner_of(rank, workers) == worker
-        assert sorted(seen) == list(range(11))
-
-    def test_ownership_is_pure_arithmetic_across_respawn(self):
-        # The replacement worker recomputes the same map: ranks never
-        # migrate across a loss (owner_of has no state to lose).
-        shard_map = ShardMap(n_games=9, shards=4)
-        before = [shard_map.owner_of(rank, 3) for rank in range(9)]
-        rebuilt = ShardMap(n_games=9, shards=4)
-        assert [rebuilt.owner_of(rank, 3) for rank in range(9)] == before
-        with pytest.raises(GameConfigError):
-            shard_map.owner_of(0, 0)
-        with pytest.raises(GameConfigError):
-            shard_map.owned_ranks(3, 3)
-
-
-# -------------------------------------------------------- structured errors --
-
-
-@pytest.fixture(params=[0, 2], ids=["in-process", "2-workers"])
+@pytest.fixture(params=["in-process"])
 def executor(request):
-    fleet = FleetEngine.build(
-        make_catalog(4), 6, shards=2, workers=request.param
-    )
-    yield fleet
-    fleet.close()
+    return FleetEngine(make_catalog(4), horizon=6, shards=2)
 
 
 class TestIntakeErrors:
@@ -361,113 +51,9 @@ class TestIntakeErrors:
         with pytest.raises(MechanismError):
             executor.ingest_many([batch])
 
-    def test_intake_after_close_is_protocol_error(self, executor):
-        executor.ingest_many(fleet_batches(3, 20, 4, 6, 2))
-        executor.advance_slot()
-        report_before = executor.report()
-        executor.close()
-        executor.close()  # idempotent
-        batch = fleet_batches(3, 10, 4, 6, 2)[0]
-        with pytest.raises(ProtocolError):
-            executor.ingest_many([batch])
-        with pytest.raises(ProtocolError):
-            executor.place_bid("zoe", list(executor.catalog)[0],
-                               AdditiveBid.over(2, (5.0,)))
-        with pytest.raises(ProtocolError):
-            executor.revise_bid("zoe", list(executor.catalog)[0], {3: 9.0})
-        with pytest.raises(ProtocolError):
-            executor.advance_slot()
-        assert not executor.bulk_intake_open
-        # report keeps working: the outcome survives its executor.
-        assert_reports_identical(report_before, executor.report())
-
     def test_advance_past_horizon_is_mechanism_error(self, executor):
         with pytest.raises(GameConfigError):
             executor.advance_slots(0)
         executor.advance_slots(executor.horizon)
         with pytest.raises(MechanismError):
             executor.advance_slot()
-
-    def test_unencodable_id_rejected_with_nothing_placed(self):
-        # Hashable but not wire-codec-expressible: the pool must reject
-        # it all-or-nothing, leaving master and workers untouched.
-        class Opaque:
-            __hash__ = object.__hash__
-
-        catalog = make_catalog(4)
-        pool = FleetEngine.build(catalog, 6, shards=2, workers=2)
-        try:
-            with pytest.raises(ProtocolError):
-                pool.place_bid(
-                    Opaque(), list(catalog)[0], AdditiveBid.over(1, (9.0,))
-                )
-            report = drive_period(pool)
-        finally:
-            pool.close()
-        engine = FleetEngine.build(catalog, 6, shards=2)
-        assert_reports_identical(drive_period(engine), report)
-
-
-# ------------------------------------------------------- through the gateway --
-
-
-class TestGatewayExecutorChoice:
-    def _bid_requests(self):
-        return [
-            SubmitBids(tenant="t1", bids=(("a", 1, (30.0, 20.0)),)),
-            SubmitBids(tenant="t2", bids=(("a", 2, (25.0,)), ("b", 1, (40.0,)))),
-            SubmitBids(tenant="t3", bids=(("b", 2, (35.0, 35.0)),)),
-        ]
-
-    def _run(self, workers):
-        service = PricingService(
-            OptimizationCatalog.from_costs({"a": 40.0, "b": 60.0}),
-            horizon=4,
-            workers=workers,
-        )
-        try:
-            acks = service.dispatch(self._bid_requests())
-            assert acks.failed is None
-            return service.run_to_end()
-        finally:
-            service.close()
-
-    def test_configure_workers_picks_the_backend(self):
-        service = PricingService(
-            OptimizationCatalog.from_costs({"a": 40.0}), horizon=4
-        )
-        assert service.fleet.workers == 0
-        reply = service.dispatch(
-            Configure(
-                optimizations=(("a", 40.0), ("b", 60.0)),
-                horizon=4,
-                workers=2,
-            )
-        )
-        assert reply.workers == 2
-        assert type(service.fleet) is MultiProcessFleet
-        procs = service.fleet.processes
-        # Reconfiguring away from the pool reaps the worker processes.
-        reply = service.dispatch(
-            Configure(optimizations=(("a", 40.0),), horizon=4)
-        )
-        assert reply.workers == 0
-        assert type(service.fleet) is FleetEngine
-        for proc in procs:
-            proc.join(timeout=5.0)
-            assert not proc.is_alive()
-        service.close()
-
-    def test_gateway_outcomes_identical_across_backends(self):
-        assert_reports_identical(self._run(0), self._run(2))
-
-    def test_service_close_reaps_the_pool(self):
-        service = PricingService(
-            OptimizationCatalog.from_costs({"a": 40.0}), horizon=4, workers=2
-        )
-        procs = service.fleet.processes
-        service.dispatch(AdvanceSlots(slots=1))
-        service.close()
-        for proc in procs:
-            proc.join(timeout=5.0)
-            assert not proc.is_alive()

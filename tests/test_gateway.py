@@ -444,7 +444,7 @@ class TestGatewayPreservesFleetPath:
         # On the wire, JSON lists decode to (hashable) tuples; a JSON
         # object is the unhashable case and must come back as data.
         reply = service.dispatch_json(
-            {"api": "1.6", "kind": "LedgerQuery", "tenant": {"a": 1}}
+            {"api": API_VERSION, "kind": "LedgerQuery", "tenant": {"a": 1}}
         )
         assert reply["kind"] == "ErrorReply" and reply["code"] == "protocol"
 
@@ -467,14 +467,35 @@ class TestGatewayPreservesFleetPath:
     def test_badly_typed_wire_fields_become_error_replies(self):
         service = PricingService({"idx": 40.0}, horizon=3)
         for payload in (
-            {"api": "1.6", "kind": "AdvanceSlots", "slots": "three"},
-            {"api": "1.6", "kind": "Configure", "optimizations": [], "horizon": "x"},
-            {"api": "1.6", "kind": "RunQuery", "tenant": "t", "query": "members",
-             "halo": "zero"},
-            {"api": "1.6", "kind": "AdviseRequest", "horizon": [1]},
+            {"api": API_VERSION, "kind": "AdvanceSlots", "slots": "three"},
+            {"api": API_VERSION, "kind": "Configure", "optimizations": [],
+             "horizon": "x"},
+            {"api": API_VERSION, "kind": "RunQuery", "tenant": "t",
+             "query": "members", "halo": "zero"},
+            {"api": API_VERSION, "kind": "AdviseRequest", "horizon": [1]},
         ):
             reply = service.dispatch_json(payload)
             assert reply["kind"] == "ErrorReply" and reply["code"] == "protocol"
+
+    def test_removed_workers_field_is_a_typed_rejection(self):
+        # API 1.7 dropped Configure.workers with the multi-process pool:
+        # a client still sending it gets a protocol error naming the
+        # field, never a period silently opened in-process.
+        payload = {
+            "api": API_VERSION,
+            "kind": "Configure",
+            "optimizations": [["idx", 40.0]],
+            "horizon": 3,
+            "workers": 2,
+        }
+        with pytest.raises(ProtocolError, match="unknown fields.*workers") as info:
+            request_from_dict(payload)
+        assert info.value.code == "protocol"
+        service = PricingService()
+        reply = service.dispatch_json(payload)
+        assert reply["kind"] == "ErrorReply" and reply["code"] == "protocol"
+        assert "workers" in reply["message"]
+        assert service.fleet is None
 
     def test_bulk_duplicates_rejected_not_double_invoiced(self):
         # dispatch() rejects a duplicate bid; the bulk path must not
@@ -721,9 +742,11 @@ class TestTraces:
             "\n".join(
                 [
                     "this is not json",
-                    '{"api": "1.6", "kind": "Mystery"}',
+                    json.dumps({"api": API_VERSION, "kind": "Mystery"}),
                     '{"api": "9.9", "kind": "AdvanceSlots", "slots": 1}',
-                    '{"api": "1.6", "kind": "AdvanceSlots", "slots": 1}',
+                    json.dumps(
+                        {"api": API_VERSION, "kind": "AdvanceSlots", "slots": 1}
+                    ),
                 ]
             )
             + "\n"

@@ -30,6 +30,7 @@ from crashpoints import fingerprint
 from netfaults import Stall, drive, serial_fingerprint, workload
 from repro.errors import GameConfigError
 from repro.gateway import (
+    API_VERSION,
     AdvanceSlots,
     Configure,
     ErrorReply,
@@ -138,7 +139,7 @@ class TestEndpoints:
         assert health["batches"] == 1
         assert health["shed"] == 0
 
-    def test_healthz_carries_version_uptime_workers_and_wal_seq(
+    def test_healthz_carries_version_uptime_and_wal_seq(
         self, tmp_path
     ):
         import repro
@@ -152,7 +153,7 @@ class TestEndpoints:
             health = client.health()
             assert health["version"] == repro.__version__
             assert health["uptime_s"] >= 0.0
-            assert health["workers"] == 0  # in-process engine, no pool
+            assert "workers" not in health
             assert health["wal_seq"] >= 1  # the Configure was logged
             assert health["epoch"] >= 0
             seq = health["wal_seq"]
@@ -253,7 +254,7 @@ class TestRawHttp:
     def test_kind_on_wrong_path_is_400(self, gateway):
         client, _service, _thread = gateway
         body = json.dumps(
-            {"api": "1.6", "kind": "AdvanceSlots", "slots": 1}
+            {"api": API_VERSION, "kind": "AdvanceSlots", "slots": 1}
         ).encode()
         status, payload = self._raw(
             client.host, client.port, "POST", "/v1/bids", body=body
@@ -265,7 +266,7 @@ class TestRawHttp:
     def test_malformed_deadline_header_is_400(self, gateway):
         client, _service, _thread = gateway
         body = json.dumps(
-            {"api": "1.6", "kind": "LedgerQuery", "tenant": "ann"}
+            {"api": API_VERSION, "kind": "LedgerQuery", "tenant": "ann"}
         ).encode()
         status, payload = self._raw(
             client.host,
@@ -283,7 +284,7 @@ class TestRawHttp:
         try:
             conn = http.client.HTTPConnection(host, port, timeout=10)
             body = json.dumps(
-                {"api": "1.6", "kind": "LedgerQuery", "tenant": "ann"}
+                {"api": API_VERSION, "kind": "LedgerQuery", "tenant": "ann"}
             ).encode()
             conn.request("POST", "/v1/ledger", body=body)
             response = conn.getresponse()

@@ -40,6 +40,7 @@ from repro.db.table import Table
 from repro.errors import GameConfigError, RecoveryError
 from repro.gateway import codec
 from repro.gateway.envelopes import (
+    API_VERSION,
     AdvanceSlots,
     AdviseRequest,
     Configure,
@@ -471,9 +472,8 @@ def test_binary_junk_in_a_trace_is_an_error_marker_not_a_crash(tmp_path):
     # Before the shared reader, raw non-UTF-8 bytes surfaced as a bare
     # UnicodeDecodeError out of iter_trace.
     path = tmp_path / "trace.jsonl"
-    path.write_bytes(
-        b'\x80\x81\xfe\n{"api": "1.6", "kind": "LedgerQuery", "tenant": "ann"}\n'
-    )
+    ledger = {"api": API_VERSION, "kind": "LedgerQuery", "tenant": "ann"}
+    path.write_bytes(b"\x80\x81\xfe\n" + json.dumps(ledger).encode() + b"\n")
     payloads = list(iter_trace(path))
     assert payloads[0]["kind"] == "<unparseable>"
     assert "UTF-8" in payloads[0]["error"]
