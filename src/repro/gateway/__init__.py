@@ -7,15 +7,23 @@ them:
 
 * :mod:`repro.gateway.envelopes` — typed, JSON-round-trippable request
   and reply envelopes (``SubmitBids``, ``RunQuery``, ``AdviseRequest``,
-  ``LedgerQuery``, ``ReviseBid``, ``AdvanceSlots``, ``Configure``, and
-  ``ErrorReply`` with structured codes mapped from the
-  :class:`~repro.errors.ReproError` hierarchy), versioned by
+  ``LedgerQuery``, ``ReviseBid``, ``AdvanceSlots``, ``Configure``,
+  ``MetricsRequest``, and ``ErrorReply`` with structured codes mapped
+  from the :class:`~repro.errors.ReproError` hierarchy), versioned by
   :data:`API_VERSION`.
-* :mod:`repro.gateway.codec` — ``to_dict``/``from_dict`` wire codecs for
+* :mod:`repro.gateway.codec` — ``encode``/``decode`` wire codecs for
   every public value object (:class:`~repro.core.outcome.ShapleyResult`,
   the four mechanism outcomes, :class:`~repro.fleet.engine.FleetReport`,
   :class:`~repro.db.savings.SavingsQuote`,
-  :class:`~repro.db.engine.QueryResult`).
+  :class:`~repro.db.costmodel.CostMeter`,
+  :class:`~repro.db.engine.QueryResult`) and for the state a WAL
+  checkpoint persists (:class:`~repro.db.catalog.Catalog`, the advisor's
+  :class:`~repro.advisor.log.WorkloadLog`, the
+  :class:`~repro.cloudsim.ledger.BillingLedger` and the
+  :class:`~repro.cloudsim.events.EventLog`).
+* :mod:`repro.gateway.schema` — the one wire schema behind both: each
+  dataclass's type annotations, compiled once per class into its
+  encoder and its exact coercer.
 * :mod:`repro.gateway.service` — the :class:`PricingService` facade:
   ``dispatch(request_or_batch) -> reply(s)`` over one
   fleet engine, one relational catalog, one advisor; per-tenant

@@ -15,8 +15,12 @@ A serialized envelope is a flat JSON object::
 
 ``api`` is :data:`API_VERSION` (checked on decode; a mismatch raises
 :class:`~repro.errors.ProtocolError` with code ``"version"``), ``kind``
-names the envelope class, and the remaining keys are its fields. Anything
-malformed — unknown kind, missing or badly-typed fields — raises
+names the envelope class, and the remaining keys are its fields.
+
+Each envelope's field annotations are its schema
+(:mod:`repro.gateway.schema`), coerced exactly on every construction,
+in-process or decoded. Anything malformed — unknown kind, unknown,
+missing or badly-typed fields — raises
 :class:`~repro.errors.ProtocolError`; nothing in this module ever lets a
 bare ``KeyError``/``ValueError`` escape (fuzz-tested in
 ``tests/test_gateway.py``).
@@ -29,8 +33,8 @@ importing this package's exception classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Mapping
+from collections.abc import Hashable, Mapping
+from dataclasses import dataclass
 
 from repro.errors import (
     BidError,
@@ -45,36 +49,7 @@ from repro.errors import (
     RevisionError,
     SchemaError,
 )
-
-__all__ = [
-    "API_VERSION",
-    "Request",
-    "Reply",
-    "Configure",
-    "SubmitBids",
-    "ReviseBid",
-    "AdvanceSlots",
-    "RunQuery",
-    "AdviseRequest",
-    "LedgerQuery",
-    "MetricsRequest",
-    "ConfigReply",
-    "BidsReply",
-    "ReviseReply",
-    "SlotReply",
-    "QueryReply",
-    "AdviseReply",
-    "LedgerReply",
-    "MetricsReply",
-    "ErrorReply",
-    "ERROR_CODES",
-    "RETRYABLE_CODES",
-    "error_code",
-    "to_dict",
-    "request_from_dict",
-    "reply_from_dict",
-    "envelope_from_dict",
-]
+from repro.gateway.schema import Pairs, Schema, build
 
 #: Protocol version every envelope carries. Bumped on any incompatible
 #: change to an envelope's fields or semantics; decode rejects mismatches.
@@ -97,50 +72,38 @@ API_VERSION = "1.7"
 QUERY_KINDS = ("members", "histogram", "top", "chain", "contributors")
 
 
-def _require_hashable(value, what: str):
-    """Tenant and optimization ids key dicts all the way down; rejecting
-    unhashables at envelope construction keeps that failure as data
-    (ProtocolError -> ErrorReply) instead of a mid-dispatch TypeError."""
-    try:
-        hash(value)
-    except TypeError:
-        raise ProtocolError(
-            f"{what} must be hashable, got {type(value).__name__}"
-        ) from None
-    return value
+_REQUESTS: dict = {}
+_REPLIES: dict = {}
 
 
-class _Normalized:
-    """Shared coercion harness: subclasses normalize in ``_normalize``.
+class _Envelope:
+    """Shared base: every subclass registers its kind and its schema, and
+    every construction coerces its fields through that schema."""
 
-    Coercion failures (bad types, short tuples) become
-    :class:`ProtocolError` so no public construction path — in-process
-    ``TenantSession`` calls included — leaks a bare
-    ``ValueError``/``TypeError`` for request-shaped mistakes.
-    """
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._schema = Schema(cls, tagged=False, tags=("api", "kind"))
+        if "_kinds" not in vars(cls):  # a concrete envelope, not a marker
+            cls._kinds[cls.__name__] = cls
 
     def __post_init__(self) -> None:
-        try:
-            self._normalize()
-        except ProtocolError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"malformed {type(self).__name__} envelope: {exc}"
-            ) from exc
+        self._schema.coerce(self)
+        self._normalize()
 
     def _normalize(self) -> None:
-        """Coerce and validate fields; overridden per envelope."""
+        """Derive computed fields once coercion is done (ErrorReply only)."""
 
 
-@dataclass(frozen=True)
-class Request(_Normalized):
+class Request(_Envelope):
     """Marker base for request envelopes."""
 
+    _kinds = _REQUESTS
 
-@dataclass(frozen=True)
-class Reply(_Normalized):
+
+class Reply(_Envelope):
     """Marker base for reply envelopes."""
+
+    _kinds = _REPLIES
 
 
 # ------------------------------------------------------------- requests --
@@ -154,23 +117,9 @@ class Configure(Request):
     with one of these so a replay is fully self-contained.
     """
 
-    optimizations: tuple
+    optimizations: tuple[tuple[Hashable, float], ...]
     horizon: int
     shards: int = 1
-
-    def _normalize(self) -> None:
-        # Coercion doubles as wire-side type checking: a badly-typed
-        # field raises here, which the decoder turns into ProtocolError.
-        object.__setattr__(
-            self,
-            "optimizations",
-            tuple(
-                (_require_hashable(opt, "an optimization id"), float(cost))
-                for opt, cost in self.optimizations
-            ),
-        )
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "shards", int(self.shards))
 
 
 @dataclass(frozen=True)
@@ -185,25 +134,9 @@ class SubmitBids(Request):
     submitted with ``revisable=True``.
     """
 
-    tenant: object
-    bids: tuple
+    tenant: Hashable
+    bids: tuple[tuple[Hashable, int, tuple[float, ...]], ...]
     revisable: bool = False
-
-    def _normalize(self) -> None:
-        _require_hashable(self.tenant, "a tenant id")
-        object.__setattr__(
-            self,
-            "bids",
-            tuple(
-                (
-                    _require_hashable(opt, "an optimization id"),
-                    int(start),
-                    tuple(float(v) for v in values),
-                )
-                for opt, start, values in self.bids
-            ),
-        )
-        object.__setattr__(self, "revisable", bool(self.revisable))
 
 
 @dataclass(frozen=True)
@@ -214,21 +147,9 @@ class ReviseBid(Request):
     accepted and normalized).
     """
 
-    tenant: object
-    optimization: object
-    new_values: tuple
-
-    def _normalize(self) -> None:
-        _require_hashable(self.tenant, "a tenant id")
-        _require_hashable(self.optimization, "an optimization id")
-        values = self.new_values
-        if isinstance(values, Mapping):
-            values = tuple(values.items())
-        object.__setattr__(
-            self,
-            "new_values",
-            tuple((int(slot), float(value)) for slot, value in values),
-        )
+    tenant: Hashable
+    optimization: Hashable
+    new_values: Pairs[int, float]
 
 
 @dataclass(frozen=True)
@@ -236,9 +157,6 @@ class AdvanceSlots(Request):
     """Advance the shared pricing clock by ``slots`` slots."""
 
     slots: int = 1
-
-    def _normalize(self) -> None:
-        object.__setattr__(self, "slots", int(self.slots))
 
 
 @dataclass(frozen=True)
@@ -254,26 +172,14 @@ class RunQuery(Request):
     echoes the epoch actually served.
     """
 
-    tenant: object
+    tenant: Hashable
     query: str
     table: str = ""
-    tables: tuple = ()
+    tables: tuple[str, ...] = ()
     halo: int | None = None
-    pids: tuple = ()
+    pids: tuple[int, ...] = ()
     record: bool = True
     as_of: int | None = None
-
-    def _normalize(self) -> None:
-        _require_hashable(self.tenant, "a tenant id")
-        object.__setattr__(self, "query", str(self.query))
-        object.__setattr__(self, "table", str(self.table))
-        object.__setattr__(self, "tables", tuple(str(t) for t in self.tables))
-        if self.halo is not None:
-            object.__setattr__(self, "halo", int(self.halo))
-        object.__setattr__(self, "pids", tuple(int(p) for p in self.pids))
-        object.__setattr__(self, "record", bool(self.record))
-        if self.as_of is not None:
-            object.__setattr__(self, "as_of", int(self.as_of))
 
 
 @dataclass(frozen=True)
@@ -288,26 +194,12 @@ class AdviseRequest(Request):
     runs_per_slot: float | None = None
     shards: int | None = None
 
-    def _normalize(self) -> None:
-        for name, cast in (
-            ("horizon", int),
-            ("dollars_per_byte", float),
-            ("runs_per_slot", float),
-            ("shards", int),
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, cast(value))
-
 
 @dataclass(frozen=True)
 class LedgerQuery(Request):
     """One tenant's billing statement for the current period."""
 
-    tenant: object
-
-    def _normalize(self) -> None:
-        _require_hashable(self.tenant, "a tenant id")
+    tenant: Hashable
 
 
 @dataclass(frozen=True)
@@ -336,7 +228,7 @@ class ConfigReply(Reply):
 class BidsReply(Reply):
     """Bids accepted into their games."""
 
-    tenant: object
+    tenant: Hashable
     accepted: int
     slot: int
 
@@ -345,8 +237,8 @@ class BidsReply(Reply):
 class ReviseReply(Reply):
     """A revision was applied."""
 
-    tenant: object
-    optimization: object
+    tenant: Hashable
+    optimization: Hashable
     slot: int
 
 
@@ -356,14 +248,7 @@ class SlotReply(Reply):
     ``(optimization, slot built)`` set, sorted by optimization."""
 
     slot: int
-    implemented: tuple
-
-    def _normalize(self) -> None:
-        object.__setattr__(
-            self,
-            "implemented",
-            tuple((opt, int(slot)) for opt, slot in self.implemented),
-        )
+    implemented: tuple[tuple[Hashable, int], ...]
 
 
 @dataclass(frozen=True)
@@ -374,16 +259,12 @@ class QueryReply(Reply):
     all of its rows reflect.
     """
 
-    tenant: object
+    tenant: Hashable
     query: str
-    rows: tuple
+    rows: tuple[tuple, ...]
     units: float
     source: str = ""
     epoch: int = 0
-
-    def _normalize(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        object.__setattr__(self, "epoch", int(self.epoch))
 
 
 @dataclass(frozen=True)
@@ -394,44 +275,21 @@ class AdviseReply(Reply):
     epoch on can see the newly funded designs.
     """
 
-    candidates: tuple
-    funded: tuple
-    adopted: tuple
+    candidates: tuple[str, ...]
+    funded: tuple[str, ...]
+    adopted: tuple[str, ...]
     build_units: float
     epoch: int = 0
-
-    def _normalize(self) -> None:
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        object.__setattr__(self, "funded", tuple(self.funded))
-        object.__setattr__(self, "adopted", tuple(self.adopted))
-        object.__setattr__(self, "epoch", int(self.epoch))
 
 
 @dataclass(frozen=True)
 class LedgerReply(Reply):
     """One tenant's statement: ``(slot, amount, memo)`` invoice lines."""
 
-    tenant: object
-    invoices: tuple
+    tenant: Hashable
+    invoices: tuple[tuple[int, float, str], ...]
     total: float
     cloud_balance: float
-
-    def _normalize(self) -> None:
-        object.__setattr__(
-            self,
-            "invoices",
-            tuple(
-                (int(slot), float(amount), str(memo))
-                for slot, amount, memo in self.invoices
-            ),
-        )
-
-
-def _deep_tuple(value):
-    """Lists and tuples -> nested tuples (hashable, wire-normal)."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_deep_tuple(v) for v in value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -446,9 +304,6 @@ class MetricsReply(Reply):
     """
 
     metrics: tuple = ()
-
-    def _normalize(self) -> None:
-        object.__setattr__(self, "metrics", _deep_tuple(self.metrics))
 
 
 #: Exception class -> structured wire code, most-derived first. The scan
@@ -506,9 +361,7 @@ class ErrorReply(Reply):
     retry_after: float = 0.0
 
     def _normalize(self) -> None:
-        object.__setattr__(self, "code", str(self.code))
         object.__setattr__(self, "retryable", self.code in RETRYABLE_CODES)
-        object.__setattr__(self, "retry_after", float(self.retry_after))
 
     @classmethod
     def of(cls, exc: BaseException, request_kind: str = "") -> "ErrorReply":
@@ -523,59 +376,13 @@ class ErrorReply(Reply):
 
 # --------------------------------------------------------- wire encoding --
 
-_REQUESTS = {
-    cls.__name__: cls
-    for cls in (
-        Configure,
-        SubmitBids,
-        ReviseBid,
-        AdvanceSlots,
-        RunQuery,
-        AdviseRequest,
-        LedgerQuery,
-        MetricsRequest,
-    )
-}
-
-_REPLIES = {
-    cls.__name__: cls
-    for cls in (
-        ConfigReply,
-        BidsReply,
-        ReviseReply,
-        SlotReply,
-        QueryReply,
-        AdviseReply,
-        LedgerReply,
-        MetricsReply,
-        ErrorReply,
-    )
-}
-
-
-def _jsonable(value):
-    """Envelope field -> JSON-able (tuples nest as lists)."""
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _tupled(value):
-    """JSON field -> envelope-normal form (lists nest as tuples)."""
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
-
 
 def to_dict(envelope) -> dict:
     """One envelope -> its flat JSON-able dictionary."""
     cls = type(envelope)
-    if cls.__name__ not in _REQUESTS and cls.__name__ not in _REPLIES:
+    if getattr(cls, "_kinds", {}).get(cls.__name__) is not cls:
         raise ProtocolError(f"{cls.__name__} is not a gateway envelope")
-    out = {"api": API_VERSION, "kind": cls.__name__}
-    for field in fields(envelope):
-        out[field.name] = _jsonable(getattr(envelope, field.name))
-    return out
+    return cls._schema.encode(envelope, {"api": API_VERSION, "kind": cls.__name__})
 
 
 def _from_dict(d, registry: dict, expected: str):
@@ -595,24 +402,9 @@ def _from_dict(d, registry: dict, expected: str):
     cls = registry.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ProtocolError(f"unknown {expected} kind {kind!r}")
-    names = {field.name for field in fields(cls)}
-    extra = set(d) - names - {"api", "kind"}
-    if extra:
-        raise ProtocolError(
-            f"{kind} envelope carries unknown fields {sorted(extra)}"
-        )
-    kwargs = {}
-    for field in fields(cls):
-        if field.name in d:
-            kwargs[field.name] = _tupled(d[field.name])
-    try:
-        return cls(**kwargs)
-    except ProtocolError:
-        raise
-    except ReproError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ProtocolError(f"malformed {kind} envelope: {exc}") from exc
+    decoded = build(cls, cls._schema.decode(d))
+    decoded._normalize()
+    return decoded
 
 
 def request_from_dict(d) -> Request:
@@ -627,8 +419,23 @@ def reply_from_dict(d) -> Reply:
 
 def envelope_from_dict(d):
     """Decode either direction (requests tried first)."""
-    if isinstance(d, Mapping):
-        kind = d.get("kind")
-        if isinstance(kind, str) and kind in _REPLIES:
-            return reply_from_dict(d)
+    kind = d.get("kind") if isinstance(d, Mapping) else None
+    if isinstance(kind, str) and kind in _REPLIES:
+        return reply_from_dict(d)
     return request_from_dict(d)
+
+
+__all__ = [
+    "API_VERSION",
+    "Request",
+    "Reply",
+    *_REQUESTS,
+    *_REPLIES,
+    "ERROR_CODES",
+    "RETRYABLE_CODES",
+    "error_code",
+    "to_dict",
+    "request_from_dict",
+    "reply_from_dict",
+    "envelope_from_dict",
+]

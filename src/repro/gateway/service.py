@@ -87,6 +87,7 @@ from repro.gateway.envelopes import (
     request_from_dict,
     to_dict,
 )
+from repro.gateway.schema import build
 
 __all__ = ["PricingService", "TenantSession", "BulkAcks", "SNAPSHOT_RETENTION"]
 
@@ -147,13 +148,9 @@ class BulkAcks(Sequence):
     def _make(self, request) -> Reply:
         if self._error is not None:
             return self._error
-        # Same fast path as the facade: bypass the frozen dataclass's
-        # per-field object.__setattr__; indistinguishable from __init__'s.
-        reply = BidsReply.__new__(BidsReply)
-        reply.__dict__.update(
-            tenant=request.tenant, accepted=len(request.bids), slot=self._slot
-        )
-        return reply
+        # The request's fields are already normal: skip re-coercing them.
+        fields = {"tenant": request.tenant, "accepted": len(request.bids)}
+        return build(BidsReply, {**fields, "slot": self._slot})
 
     def __len__(self) -> int:
         return len(self._requests)

@@ -44,13 +44,16 @@ from repro.errors import (
 )
 from repro.fleet import TenantWorkload, build_service
 from repro.fleet.engine import FleetEngine
+from repro.advisor.candidates import ViewSpec
 from repro.gateway import (
     API_VERSION,
     AdvanceSlots,
+    AdviseReply,
     AdviseRequest,
     Configure,
     ErrorReply,
     LedgerQuery,
+    MetricsReply,
     RETRYABLE_CODES,
     ReviseBid,
     RunQuery,
@@ -93,19 +96,23 @@ ENVELOPE_EXAMPLES = [
 ]
 
 
+def _sample_replies():
+    service = PricingService({"idx": 40.0}, horizon=3)
+    return [
+        service.dispatch(SubmitBids(tenant="ann", bids=(("idx", 1, (50.0,)),))),
+        service.dispatch(AdvanceSlots(slots=3)),
+        service.dispatch(LedgerQuery(tenant="ann")),
+        service.dispatch(SubmitBids(tenant="x", bids=(("nope", 1, (1.0,)),))),
+    ]
+
+
 class TestEnvelopeRoundTrips:
     @pytest.mark.parametrize("envelope", ENVELOPE_EXAMPLES, ids=lambda e: type(e).__name__)
     def test_request_round_trips_through_json(self, envelope):
         assert roundtrip(envelope) == envelope
 
     def test_replies_round_trip(self):
-        service = PricingService({"idx": 40.0}, horizon=3)
-        replies = [
-            service.dispatch(SubmitBids(tenant="ann", bids=(("idx", 1, (50.0,)),))),
-            service.dispatch(AdvanceSlots(slots=3)),
-            service.dispatch(LedgerQuery(tenant="ann")),
-            service.dispatch(SubmitBids(tenant="x", bids=(("nope", 1, (1.0,)),))),
-        ]
+        replies = _sample_replies()
         for reply in replies:
             assert roundtrip(reply) == reply
         assert isinstance(replies[-1], ErrorReply)
@@ -421,10 +428,23 @@ class TestGatewayPreservesFleetPath:
             lambda: SubmitBids(tenant="a", bids=(("x", "one", (1.0,)),)),
             lambda: Configure(optimizations=(("x",),), horizon=2),
             lambda: AdvanceSlots(slots="three"),
+            lambda: AdvanceSlots(slots=1.5),  # no silent truncation to 1
             lambda: ReviseBid(tenant="a", optimization="x", new_values=((1,),)),
         ):
             with pytest.raises(ProtocolError):
                 build()
+
+    def test_exact_coercion_takes_numpy_scalars(self):
+        # Exact is not narrow: numpy integers and floats are real numbers
+        # and normalize to Python scalars, so the wire form stays JSON.
+        np = pytest.importorskip("numpy")
+        request = SubmitBids(
+            tenant="a", bids=(("x", np.int64(2), (np.float32(1.5), 3)),)
+        )
+        assert request.bids == (("x", 2, (1.5, 3.0)),)
+        assert [type(v) for v in request.bids[0][2]] == [float, float]
+        assert type(AdvanceSlots(slots=np.int32(2)).slots) is int
+        assert roundtrip(request) == request
 
     def test_unhashable_ids_rejected_as_data(self):
         # Tenant/optimization ids key dicts throughout the engine; an
@@ -473,9 +493,22 @@ class TestGatewayPreservesFleetPath:
             {"api": API_VERSION, "kind": "RunQuery", "tenant": "t",
              "query": "members", "halo": "zero"},
             {"api": API_VERSION, "kind": "AdviseRequest", "horizon": [1]},
+            # Scalars coerce exactly: no truncation, no parsing, no truthiness.
+            {"api": API_VERSION, "kind": "AdvanceSlots", "slots": 1.5},
+            {"api": API_VERSION, "kind": "AdvanceSlots", "slots": True},
+            {"api": API_VERSION, "kind": "AdvanceSlots", "slots": "1"},
+            {"api": API_VERSION, "kind": "SubmitBids", "tenant": "t",
+             "bids": [["idx", 1.9, [5.0]]]},
+            {"api": API_VERSION, "kind": "SubmitBids", "tenant": "t",
+             "bids": [["idx", 1, [5.0]]], "revisable": "no"},
         ):
             reply = service.dispatch_json(payload)
             assert reply["kind"] == "ErrorReply" and reply["code"] == "protocol"
+        # None of them took effect: the clock did not move, and t's bid
+        # is not a duplicate of one a mistyped envelope slipped in.
+        assert service.slot == 0
+        retry = SubmitBids(tenant="t", bids=(("idx", 1, (5.0,)),))
+        assert not isinstance(service.dispatch(retry), ErrorReply)
 
     def test_removed_workers_field_is_a_typed_rejection(self):
         # API 1.7 dropped Configure.workers with the multi-process pool:
@@ -644,10 +677,17 @@ class TestMalformedEnvelopeFuzz:
     def _base_wires(self):
         return [to_dict(e) for e in ENVELOPE_EXAMPLES]
 
+    def _decodable_wires(self):
+        """(decoder, wire) pairs: every request example and sample reply."""
+        requests = [(request_from_dict, w) for w in self._base_wires()]
+        replies = [(reply_from_dict, to_dict(r)) for r in _sample_replies()]
+        return requests + replies
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_decode_only_raises_repro_errors(self, data):
-        wire = dict(data.draw(st.sampled_from(self._base_wires())))
+        decode, wire = data.draw(st.sampled_from(self._decodable_wires()))
+        wire = dict(wire)
         mutation = data.draw(st.sampled_from(["drop", "retype", "junk", "version"]))
         if mutation == "drop" and len(wire) > 2:
             del wire[data.draw(st.sampled_from(sorted(wire)))]
@@ -663,7 +703,7 @@ class TestMalformedEnvelopeFuzz:
         else:
             wire["api"] = data.draw(st.one_of(st.none(), st.text(max_size=4)))
         try:
-            request_from_dict(wire)
+            decode(wire)
         except ReproError:
             pass  # the only acceptable exception family
 
@@ -702,6 +742,31 @@ class TestMalformedEnvelopeFuzz:
             "LedgerReply",
             "ErrorReply",
         }
+
+    @pytest.mark.parametrize(
+        "kind, field, junk",
+        [
+            ("QueryReply", "units", "lots"),
+            ("BidsReply", "accepted", "many"),
+            ("LedgerReply", "total", "x"),
+            ("ErrorReply", "message", 5),
+        ],
+    )
+    def test_mistyped_reply_fields_are_protocol_errors(self, kind, field, junk):
+        # A client must never be handed a reply whose fields lie about
+        # their types: reply decode checks scalars as strictly as requests.
+        valid = {
+            "QueryReply": {"tenant": "t", "query": "members", "rows": [[1]],
+                           "units": 2.5},
+            "BidsReply": {"tenant": "t", "accepted": 1, "slot": 0},
+            "LedgerReply": {"tenant": "t", "invoices": [], "total": 0.0,
+                            "cloud_balance": 0.0},
+            "ErrorReply": {"code": "bid", "message": "m"},
+        }[kind]
+        wire = {"api": API_VERSION, "kind": kind, **valid}
+        reply_from_dict(wire)  # the untouched wire decodes
+        with pytest.raises(ProtocolError, match=field):
+            reply_from_dict({**wire, field: junk})
 
     def test_decoded_garbage_value_objects(self):
         for junk in (
@@ -1027,3 +1092,140 @@ class TestUnifiedDispatchSurface:
             _warnings.simplefilter("error", DeprecationWarning)
             service.dispatch(AdvanceSlots(slots=1))
             service.dispatch_json(to_dict(AdvanceSlots(slots=1)))
+
+
+# ------------------------------------------------------ golden wire format --
+#
+# Pinned byte-for-byte: WALs, traces and checkpoints written by earlier
+# builds must keep decoding, and clients parse these exact shapes. A
+# change here is a wire-format change and needs an API_VERSION bump.
+
+
+def _golden_replies():
+    service = PricingService()
+    optimizations = (("idx", 40.0), (("t", 1), 9.0))
+    replies = [service.dispatch(Configure(optimizations=optimizations, horizon=3))]
+    for request in (
+        SubmitBids(tenant="ann", bids=(("idx", 1, (30.0, 25.0)),), revisable=True),
+        SubmitBids(tenant=("b", 2), bids=(("idx", 1, (15.0,)), (("t", 1), 2, (10.0,)))),
+        ReviseBid(tenant="ann", optimization="idx", new_values={2: 26.5}),
+        AdvanceSlots(slots=3),
+        LedgerQuery(tenant="ann"),
+        SubmitBids(tenant="x", bids=(("nope", 1, (1.0,)),)),
+    ):
+        replies.append(service.dispatch(request))
+    replies.append(
+        AdviseReply(
+            candidates=("v_a", "ix_a_pid"),
+            funded=("v_a",),
+            adopted=("v_a",),
+            build_units=3.25,
+            epoch=2,
+        )
+    )
+    replies.append(
+        MetricsReply(
+            metrics=(
+                ("repro_dispatch_total", "counter", (("kind", "SubmitBids"),), 3.0),
+                (
+                    "repro_dispatch_seconds",
+                    "histogram",
+                    (("kind", "AdvanceSlots"),),
+                    ((0.001, 0.01), (1, 2), 0.0125, 3),
+                ),
+            )
+        )
+    )
+    return replies
+
+
+def _golden_service():
+    """One table, one view, one hash index, analyzed, one logged query."""
+    service = PricingService()
+    table = Table("snap", Schema.of(pid="int", halo="int"))
+    table.extend([(1, 0), (2, 0), (3, -1), (4, 1)])
+    service.db.create_table(table)
+    spec = ViewSpec("snap", ("pid", "halo"), (("halo", -1),))
+    service.db.create_view(spec.build(service.db, "v_snap"))
+    service.db.analyze_table("snap")
+    service.db.create_hash_index("snap", "halo")
+    query = RunQuery(tenant="ann", query="members", table="snap", halo=0)
+    return service, service.dispatch(query)
+
+
+def _golden(obj) -> str:
+    return json.dumps(to_dict(obj), sort_keys=True)
+
+
+GOLDEN_REQUESTS = [
+    '{"api": "1.7", "horizon": 6, "kind": "Configure", "optimizations": [["idx", 40.0], [["t", 1], 3.5]], "shards": 2}',
+    '{"api": "1.7", "bids": [["idx", 1, [30.0, 2.5]], ["v", 2, [1.0]]], "kind": "SubmitBids", "revisable": false, "tenant": "ann"}',
+    '{"api": "1.7", "bids": [], "kind": "SubmitBids", "revisable": true, "tenant": 7}',
+    '{"api": "1.7", "kind": "ReviseBid", "new_values": [[3, 5.0], [4, 6.5]], "optimization": "idx", "tenant": "bob"}',
+    '{"api": "1.7", "kind": "AdvanceSlots", "slots": 3}',
+    '{"api": "1.7", "as_of": null, "halo": 3, "kind": "RunQuery", "pids": [], "query": "members", "record": true, "table": "snap_02", "tables": [], "tenant": "t"}',
+    '{"api": "1.7", "as_of": null, "halo": 0, "kind": "RunQuery", "pids": [], "query": "chain", "record": false, "table": "", "tables": ["s2", "s1"], "tenant": "t"}',
+    '{"api": "1.7", "as_of": null, "halo": null, "kind": "RunQuery", "pids": [1, 2, 3], "query": "histogram", "record": true, "table": "s1", "tables": [], "tenant": "t"}',
+    '{"api": "1.7", "dollars_per_byte": 1e-07, "horizon": 5, "kind": "AdviseRequest", "runs_per_slot": null, "shards": null}',
+    '{"api": "1.7", "dollars_per_byte": null, "horizon": null, "kind": "AdviseRequest", "runs_per_slot": null, "shards": null}',
+    '{"api": "1.7", "kind": "LedgerQuery", "tenant": ["compound", 3]}',
+]
+
+GOLDEN_REPLIES = [
+    '{"api": "1.7", "games": 2, "horizon": 3, "kind": "ConfigReply", "shards": 1}',
+    '{"accepted": 1, "api": "1.7", "kind": "BidsReply", "slot": 0, "tenant": "ann"}',
+    '{"accepted": 2, "api": "1.7", "kind": "BidsReply", "slot": 0, "tenant": ["b", 2]}',
+    '{"api": "1.7", "kind": "ReviseReply", "optimization": "idx", "slot": 0, "tenant": "ann"}',
+    '{"api": "1.7", "implemented": [[["t", 1], 2], ["idx", 1]], "kind": "SlotReply", "slot": 3}',
+    '{"api": "1.7", "cloud_balance": 0.0, "invoices": [[2, 40.0, "opt=\'idx\'"]], "kind": "LedgerReply", "tenant": "ann", "total": 40.0}',
+    '{"api": "1.7", "code": "game-config", "kind": "ErrorReply", "message": "no optimization \'nope\' in catalog", "request_kind": "SubmitBids", "retry_after": 0.0, "retryable": false}',
+    '{"adopted": ["v_a"], "api": "1.7", "build_units": 3.25, "candidates": ["v_a", "ix_a_pid"], "epoch": 2, "funded": ["v_a"], "kind": "AdviseReply"}',
+    '{"api": "1.7", "kind": "MetricsReply", "metrics": [["repro_dispatch_total", "counter", [["kind", "SubmitBids"]], 3.0], ["repro_dispatch_seconds", "histogram", [["kind", "AdvanceSlots"]], [[0.001, 0.01], [1, 2], 0.0125, 3]]]}',
+    '{"api": "1.7", "epoch": 4, "kind": "QueryReply", "query": "members", "rows": [[1], [2]], "source": "index", "tenant": "ann", "units": 40.0}',
+]
+
+GOLDEN_STATE = {
+    "ledger": '{"entries": [{"amount": -10.0, "kind": "build", "memo": "", "party": "a", "slot": 1}, {"amount": 5.0, "kind": "invoice", "memo": "opt=\'a\'", "party": "ann", "slot": 2}, {"amount": 5.0, "kind": "invoice", "memo": "opt=\'a\'", "party": 3, "slot": 2}], "type": "BillingLedger"}',
+    "events": '{"events": [{"detail": "opt=\'a\'", "event": "BidPlaced", "slot": 1, "user": "ann"}, {"detail": "opt=\'a\'", "event": "BidPlaced", "slot": 1, "user": 3}, {"detail": "opt=(\'b\', 2)", "event": "BidPlaced", "slot": 1, "user": "eve"}, {"event": "UserGranted", "optimization": "a", "slot": 1, "user": "ann"}, {"cost": 10.0, "event": "OptimizationImplemented", "optimization": "a", "slot": 1}, {"event": "UserDeparted", "slot": 1, "user": "eve"}, {"event": "UserGranted", "optimization": "a", "slot": 2, "user": 3}, {"amount": 5.0, "event": "UserCharged", "slot": 2, "user": "ann"}, {"amount": 5.0, "event": "UserCharged", "slot": 2, "user": 3}, {"event": "UserDeparted", "slot": 2, "user": "ann"}, {"event": "UserDeparted", "slot": 2, "user": 3}], "type": "EventLog"}',
+    "report": '{"epoch": 7, "events": {"events": [{"detail": "opt=\'a\'", "event": "BidPlaced", "slot": 1, "user": "ann"}, {"detail": "opt=\'a\'", "event": "BidPlaced", "slot": 1, "user": 3}, {"detail": "opt=(\'b\', 2)", "event": "BidPlaced", "slot": 1, "user": "eve"}, {"event": "UserGranted", "optimization": "a", "slot": 1, "user": "ann"}, {"cost": 10.0, "event": "OptimizationImplemented", "optimization": "a", "slot": 1}, {"event": "UserDeparted", "slot": 1, "user": "eve"}, {"event": "UserGranted", "optimization": "a", "slot": 2, "user": 3}, {"amount": 5.0, "event": "UserCharged", "slot": 2, "user": "ann"}, {"amount": 5.0, "event": "UserCharged", "slot": 2, "user": 3}, {"event": "UserDeparted", "slot": 2, "user": "ann"}, {"event": "UserDeparted", "slot": 2, "user": 3}], "type": "EventLog"}, "game_revenue": {"map": [["a", 10.0]]}, "games": {"tuple": ["a", {"tuple": ["b", 2]}]}, "granted_at": {"map": [[{"tuple": ["ann", "a"]}, 1], [{"tuple": [3, "a"]}, 2]]}, "horizon": 4, "implemented": {"map": [["a", 1]]}, "ledger": {"entries": [{"amount": -10.0, "kind": "build", "memo": "", "party": "a", "slot": 1}, {"amount": 5.0, "kind": "invoice", "memo": "opt=\'a\'", "party": "ann", "slot": 2}, {"amount": 5.0, "kind": "invoice", "memo": "opt=\'a\'", "party": 3, "slot": 2}], "type": "BillingLedger"}, "payments": {"map": [["eve", 0.0], ["ann", 5.0], [3, 5.0]]}, "type": "FleetReport"}',
+    "catalog": '{"epoch": 4, "hash_indexes": [["snap", "halo", 4]], "sorted_indexes": [], "stats": [{"columns": [{"distinct": 4, "maximum": 4, "minimum": 1, "name": "pid"}, {"distinct": 3, "maximum": 1, "minimum": -1, "name": "halo"}], "row_count": 4, "row_width": 16, "table_name": "snap"}], "tables": [{"name": "snap", "rows": [[1, 0], [2, 0], [3, -1], [4, 1]], "schema": [["pid", "int"], ["halo", "int"]], "version": 1}], "type": "Catalog", "views": [{"build_cost_units": 0.0, "depends_on": ["snap"], "name": "v_snap", "spec": {"columns": ["pid", "halo"], "excluded": [["halo", -1]], "table_name": "snap"}, "table": {"name": "v_snap", "rows": [[1, 0], [2, 0], [4, 1]], "schema": [["pid", "int"], ["halo", "int"]], "version": 3}}]}',
+    "log": '{"entries": [{"last_epoch": 4, "passes": 1.0, "probes": 1.0, "template": {"columns": ["pid", "halo"], "excluded": [["halo", -1]], "key_column": "halo", "kind": "members", "table_name": "snap"}, "tenant": "ann"}], "type": "WorkloadLog"}',
+}
+
+class TestGoldenWireFormat:
+    def test_request_envelopes(self):
+        assert [_golden(e) for e in ENVELOPE_EXAMPLES] == GOLDEN_REQUESTS
+
+    def test_reply_envelopes(self):
+        service, query_reply = _golden_service()
+        replies = _golden_replies() + [query_reply]
+        kinds = {type(r).__name__ for r in replies}
+        assert kinds == {
+            "ConfigReply",
+            "BidsReply",
+            "ReviseReply",
+            "SlotReply",
+            "LedgerReply",
+            "ErrorReply",
+            "AdviseReply",
+            "MetricsReply",
+            "QueryReply",
+        }
+        assert [_golden(r) for r in replies] == GOLDEN_REPLIES
+
+    def test_checkpointed_state(self):
+        report = _fleet_report()
+        service, _ = _golden_service()
+        state = {
+            "ledger": report.ledger,
+            "events": report.events,
+            "report": report,
+            "catalog": service.db,
+            "log": service.log,
+        }
+        for name, obj in state.items():
+            assert _golden(obj) == GOLDEN_STATE[name], name
+
+    def test_golden_wires_decode_to_what_they_encode(self):
+        for line in GOLDEN_REQUESTS + GOLDEN_REPLIES + list(GOLDEN_STATE.values()):
+            assert _golden(from_dict(json.loads(line))) == line
