@@ -12,7 +12,8 @@ this codebase's own fleet-engine claim (many concurrent games vs
 independent services) behind the ``fleet`` CLI command and
 ``benchmarks/bench_fleet.py``, and :mod:`repro.experiments.advisor_loop`
 measures the closed optimization loop (:mod:`repro.advisor`) behind the
-``advise`` CLI command and ``benchmarks/bench_advisor.py``.
+``advise`` CLI command and the metered-cost floor in
+``tests/test_advisor.py``.
 """
 
 from repro.experiments.common import ExperimentResult, Series

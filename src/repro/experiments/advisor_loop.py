@@ -5,8 +5,7 @@ the :mod:`repro.advisor` loop — mine the logged workload, enumerate
 candidate views *and* indexes, price them through the fleet games, adopt
 the funded designs — cuts the astronomers' metered workload cost without
 changing a single query result. It powers the ``advise`` CLI command and
-``benchmarks/bench_advisor.py`` (which enforces the >= 3x floor at 40k
-particles).
+``tests/test_advisor.py``, which asserts the >= 3x metered-cost floor.
 """
 
 from __future__ import annotations

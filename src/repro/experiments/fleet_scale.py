@@ -146,8 +146,8 @@ def measure_gateway_point(
     payments, grants, implementations, per-game revenue, the ledger and
     the event log — against each other *and* against pre-built
     :func:`~repro.workloads.fleet.fleet_batches` intake, before any
-    timing is trusted. ``benchmarks/bench_gateway.py`` turns the ratio
-    into the <15% dispatch-overhead gate.
+    timing is trusted. ``python -m repro fleet --gateway`` prints both
+    timings.
     """
     from repro.gateway.envelopes import SubmitBids
     from repro.gateway.service import PricingService

@@ -31,8 +31,8 @@ The robustness machinery is the point, not an afterthought:
   one batched ``dispatch`` call — on a durable service one WAL record and
   one fsync for the whole batch — with ``max_delay`` bounding how long
   an envelope may wait for co-travellers. This is what keeps
-  fsyncs/request below 1 under concurrency (``benchmarks/bench_server.py``
-  gates it).
+  fsyncs/request below 1 under concurrency
+  (``tests/test_server.py::TestGroupCommit`` holds it).
 - **Graceful drain.** :meth:`GatewayServer.drain` (wired to SIGTERM by
   :func:`serve`) stops accepting, answers stragglers ``overloaded``,
   lets queued work finish, checkpoints a durable service, and closes.

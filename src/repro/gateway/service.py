@@ -23,9 +23,8 @@ Contracts (tested in ``tests/test_gateway.py``):
   and request-ordered, exactly the layout
   :func:`repro.workloads.fleet.fleet_batches` emits — and bulk-ingests
   them, so gateway outcomes and metered costs are bit-identical to
-  driving the :class:`FleetEngine` directly
-  (``benchmarks/bench_gateway.py`` holds the dispatch overhead under
-  15% at 50,000 users).
+  driving the :class:`FleetEngine` directly (``perfbench`` times the
+  dispatch as its own layer, ``service.dispatch_ms``).
 * **Slot-synchronized.** One :class:`AdvanceSlots` request moves every
   game in lock step; there is no per-game clock to drift.
 * **Snapshot-isolated reads.** Every :class:`RunQuery` pins one catalog

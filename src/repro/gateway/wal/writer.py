@@ -5,8 +5,8 @@ appended, flushed, and fsync'd **before** its effects apply — the fsync
 is the durability point, so a crash leaves either a fully durable record
 or (at worst) a torn final line that recovery truncates away. One bulk
 batched ``dispatch`` run is one record and therefore one fsync, which is
-what keeps the steady-state dispatch overhead low
-(``benchmarks/bench_recovery.py`` gates it).
+what keeps the steady-state dispatch overhead low (``perfbench``'s
+``period`` workload measures it).
 
 The optional ``probe`` callable is the crash-injection seam: it fires
 with ``"wal:append"`` just before the bytes are written and

@@ -14,9 +14,9 @@ and the blocking client. Three read paths expose the same state:
 The conventions that keep this layer honest live in DESIGN.md ("Metrics
 conventions"): all timing through the injectable clock seam, label
 values only from bounded sets, and **no metrics on hot per-bid paths**
-— fleet instrumentation is per-slot granularity only, which
-is how ``benchmarks/bench_obs.py`` keeps the measured overhead of the
-enabled registry under 5%.
+— fleet instrumentation is per-slot granularity only, so the enabled
+registry's work is a fixed count of clock reads per request and per
+slot (``tests/test_obs.py`` pins the counts).
 """
 
 from repro.obs.metrics import (
@@ -65,7 +65,7 @@ def enable() -> None:
 
 def disable() -> None:
     """Turn instrumentation off — mutations become early-return no-ops
-    and timers never touch the clock (the bench_obs baseline mode)."""
+    and timers never touch the clock."""
     REGISTRY.enabled = False
     SPANS.enabled = False
 

@@ -12,9 +12,8 @@ combination). Everything is stdlib-only and deliberately small:
   instrumentation may call ``time`` directly (DESIGN.md, "Metrics
   conventions").
 - **Cheap disablement.** ``registry.enabled = False`` turns every
-  mutation into an early-return no-op (timers skip the clock entirely);
-  ``benchmarks/bench_obs.py`` measures the enabled-vs-disabled gap and
-  gates it below 5%.
+  mutation into an early-return no-op (timers skip the clock entirely;
+  ``tests/test_obs.py`` counts zero reads).
 - **Bounded cardinality.** A family refuses to mint more than
   ``max_series`` children — unbounded label values are a memory leak
   wearing a telemetry costume, so the bound is an error, not a clamp.
@@ -27,9 +26,9 @@ Histogram buckets are **fixed log-spaced** upper bounds (four per decade
 from 10µs to 10s by default); :meth:`Histogram.percentile` answers the
 nearest-rank percentile over those bounds with exactly the rank rule the
 serving benchmark always used (``index = min(n - 1, int(n * q))`` into
-the sorted sample), so ``benchmarks/bench_server.py`` could swap its
-ad-hoc sorted-list math for the shared histogram without moving a
-reported number (``tests/test_obs.py`` holds the two identical on a
+the sorted sample), so the serving benchmark could swap its ad-hoc
+sorted-list math for the shared histogram without moving a reported
+number (``tests/test_obs.py`` holds the two identical on a
 fixed sample).
 """
 
@@ -348,8 +347,8 @@ class _HistogramChild:
         """Nearest-rank percentile over the bucket upper bounds.
 
         The rank rule is ``index = min(n - 1, int(n * q))`` into the
-        sorted sample — byte-for-byte the rule bench_server.py applied
-        to its sorted latency list, so a sample whose values sit on
+        sorted sample — byte-for-byte the rule the serving benchmark
+        applied to its sorted latency list, so a sample whose values sit on
         bucket bounds answers identically through either path."""
         q = float(q)
         if not 0.0 <= q <= 1.0:

@@ -296,6 +296,35 @@ class TestAdvisorLoopDriver:
         advised = loop.result.get("advised [units]")
         assert all(b >= a for b, a in zip(baseline.y, advised.y))
 
+    @staticmethod
+    def _astronomy_loop(particles: int):
+        from repro.experiments import AdvisorLoopConfig, run_advisor_loop
+
+        return run_advisor_loop(
+            AdvisorLoopConfig(
+                particles=particles,
+                halos=30,
+                snapshots=4,
+                min_halo_members=10,
+                seed=2012,
+            )
+        )
+
+    def test_loop_cuts_metered_cost_at_least_3x(self):
+        # Metered units are simulated cost, not machine timing, so the
+        # ratio is deterministic: 29.81x at 2,000 particles. The second
+        # floor lets it fall by at most a fifth.
+        loop = self._astronomy_loop(2_000)
+        assert loop.outcome.adopted
+        assert loop.cost_ratio >= 3.0
+        assert loop.cost_ratio >= 23.85
+
+    @pytest.mark.slow
+    def test_loop_cuts_metered_cost_at_least_3x_at_40k_particles(self):
+        loop = self._astronomy_loop(40_000)
+        assert loop.outcome.adopted
+        assert loop.cost_ratio >= 3.0
+
     def test_cli_advise_command(self, capsys):
         from repro.cli import main
 

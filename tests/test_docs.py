@@ -134,3 +134,36 @@ class TestExperimentsDoc:
 
     def test_paper_vs_measured_columns(self):
         assert "| Paper claim | Measured |" in self.EXPERIMENTS
+
+
+class TestNamedBenchmarkFilesExist:
+    """The reverse of the inventory check: every benchmark file or
+    trajectory the docs, the CI workflow or the sources name exists."""
+
+    NAMED = re.compile(r"benchmarks/\w+\.py|\bbench_\w+\.py|\bBENCH_\w+\.json")
+    DOCS = (
+        "README.md",
+        "DESIGN.md",
+        "API.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+        ".github/workflows/ci.yml",
+    )
+
+    @staticmethod
+    def _path(name: str) -> Path:
+        return ROOT / ("benchmarks" if name.startswith("bench_") else "") / name
+
+    def _missing(self, text: str) -> set[str]:
+        return {n for n in self.NAMED.findall(text) if not self._path(n).exists()}
+
+    def test_docs_name_only_existing_files(self):
+        for doc in self.DOCS:
+            missing = self._missing((ROOT / doc).read_text())
+            assert not missing, f"{doc} names missing files {sorted(missing)}"
+
+    def test_sources_name_only_existing_files(self):
+        for source in (ROOT / "src").rglob("*.py"):
+            missing = self._missing(source.read_text())
+            name = source.relative_to(ROOT)
+            assert not missing, f"{name} names missing files {sorted(missing)}"

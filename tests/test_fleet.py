@@ -6,7 +6,8 @@ grants, prices, payments, and implementation slots of running each game
 through its own :class:`~repro.cloudsim.service.CloudService` (which the
 online-equivalence suite in turn ties to the batch mechanism runners).
 Also covered: bulk-vs-per-bid intake parity, shard-count invariance,
-replay determinism, and the ledger/event-log invariants of the fleet path.
+replay determinism, the ledger/event-log invariants of the fleet path,
+and the typed errors of malformed or late intake.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AdditiveBid, GameConfigError, MechanismError
+from repro import AdditiveBid, GameConfigError, MechanismError, ProtocolError
 from repro.cloudsim import (
     CloudService,
     OptimizationCatalog,
@@ -419,6 +420,45 @@ class TestFleetApi:
     def test_period_end(self):
         engine = FleetEngine(self.catalog(), horizon=1)
         engine.run_to_end()
+        with pytest.raises(MechanismError):
+            engine.advance_slot()
+
+
+class TestIntakeErrors:
+    def make_engine(self):
+        catalog = OptimizationCatalog.from_costs(fleet_game_costs(2012, 4, 30.0))
+        return FleetEngine(catalog, horizon=6, shards=2)
+
+    def test_ragged_batch_values_are_protocol_errors(self):
+        with pytest.raises(ProtocolError):
+            FleetBatch(
+                users=("a", "b"),
+                opt_ranks=np.array([0, 1]),
+                starts=np.array([1, 1]),
+                values=[[1.0, 2.0], [3.0]],
+            )
+
+    def test_misaligned_batch_columns_are_config_errors(self):
+        with pytest.raises(GameConfigError):
+            FleetBatch(
+                users=("a", "b", "c"),
+                opt_ranks=np.array([0, 1]),
+                starts=np.array([1, 1]),
+                values=np.ones((2, 2)),
+            )
+
+    def test_ingest_after_first_slot_is_mechanism_error(self):
+        engine = self.make_engine()
+        engine.advance_slot()
+        batch = fleet_batches(3, 10, 4, 6, 2)[0]
+        with pytest.raises(MechanismError):
+            engine.ingest_many([batch])
+
+    def test_advance_past_horizon_is_mechanism_error(self):
+        engine = self.make_engine()
+        with pytest.raises(GameConfigError):
+            engine.advance_slots(0)
+        engine.advance_slots(engine.horizon)
         with pytest.raises(MechanismError):
             engine.advance_slot()
 

@@ -1,7 +1,7 @@
 """The observability subsystem: registry semantics, percentile identity
 with the old bench math, exposition validity, fixed-clock determinism,
-spans, the MetricsRequest/MetricsReply envelopes, and metric continuity
-across PricingService recovery."""
+counted instrumentation work, spans, the MetricsRequest/MetricsReply
+envelopes, and metric continuity across PricingService recovery."""
 
 from __future__ import annotations
 
@@ -12,8 +12,11 @@ import pytest
 from promparse import ExpositionError, parse_exposition
 
 from repro import obs
+from repro.cloudsim import OptimizationCatalog
+from repro.fleet import FleetEngine
 from repro.gateway import (
     AdvanceSlots,
+    Configure,
     MetricsReply,
     MetricsRequest,
     PricingService,
@@ -21,6 +24,8 @@ from repro.gateway import (
     from_dict,
     to_dict,
 )
+from repro.gateway.client import GatewayClient
+from repro.gateway.server import ServerConfig, ServerThread
 from repro.obs import (
     DEFAULT_BUCKETS,
     DEFAULT_MAX_SERIES,
@@ -29,6 +34,7 @@ from repro.obs import (
     read_spans,
     render_prometheus,
 )
+from repro.workloads.fleet import fleet_batches, fleet_game_costs
 
 
 def ticker(step: float = 1.0, start: float = 0.0):
@@ -183,8 +189,8 @@ class TestRegistrySemantics:
 
 
 class TestPercentileIdentity:
-    """The property that let bench_server.py swap its sorted-list math
-    for the shared histogram: on samples that sit on bucket bounds the
+    """The property that let the serving benchmark swap its sorted-list
+    math for the shared histogram: on samples that sit on bucket bounds the
     two answer identically, at every rank."""
 
     @staticmethod
@@ -206,7 +212,7 @@ class TestPercentileIdentity:
             assert histogram.percentile(q) == self._old_math(fixed, q), q
 
     def test_p50_matches_the_old_len_over_two_rule(self):
-        # bench_server's p50 was merged[len // 2]; the shared rank rule
+        # The serving benchmark's p50 was merged[len // 2]; the shared rank rule
         # int(len * 0.5) is the same index at every length.
         for n in (1, 2, 3, 10, 101):
             assert min(n - 1, int(n * 0.5)) == min(n - 1, n // 2)
@@ -343,6 +349,82 @@ class TestFixedClockDeterminism:
         registry = MetricsRegistry(clock=ticker())
         self._run_workload(registry)
         assert json.loads(json.dumps(registry.snapshot())) is not None
+
+
+# ------------------------------------------------------------ counted work --
+
+
+class TestCountedClockReads:
+    """The instrumentation tax as counted work, not wall-clock: every
+    timer reads the injected clock twice, so clock reads count timed
+    regions. Serving costs a fixed number per request, the fleet a fixed
+    number per slot whatever the population, and a disabled registry
+    none at all."""
+
+    @pytest.fixture()
+    def clock(self, monkeypatch):
+        state = {"reads": 0}
+        tick = ticker(0.001)
+
+        def clock() -> float:
+            state["reads"] += 1
+            return tick()
+
+        monkeypatch.setattr(obs.REGISTRY, "clock", clock)
+        monkeypatch.setattr(obs.SPANS, "clock", clock)
+        return state
+
+    @staticmethod
+    def _serve(wal_dir, clock, requests: int, *, checkpoint: bool = False):
+        """Clock reads over ``requests`` sequential one-bid SubmitBids
+        to a durable server (Configure excluded)."""
+        service = PricingService()
+        service.attach_wal(wal_dir)
+        thread = ServerThread(service, ServerConfig(port=0))
+        client = GatewayClient(*thread.start())
+        try:
+            # A request's timer closes after its reply is written; the
+            # next request on the same connection waits for it, so each
+            # health() read fences off every earlier request's reads.
+            client.request(Configure(optimizations=(("idx", 40.0),), horizon=4))
+            client.health()
+            before = clock["reads"]
+            for user in range(requests):
+                client.request(
+                    SubmitBids(tenant=f"u{user}", bids=(("idx", 1, (1.0,)),))
+                )
+            client.health()
+            reads = clock["reads"] - before
+            if checkpoint:
+                service.checkpoint()
+        finally:
+            client.close()
+            thread.stop()
+            service.close()
+        return reads
+
+    @staticmethod
+    def _fleet_period(users: int, slots: int = 60) -> None:
+        catalog = OptimizationCatalog.from_costs(fleet_game_costs(2012, 8, 30.0))
+        engine = FleetEngine(catalog, horizon=slots)
+        engine.ingest_many(fleet_batches(2013, users, 8, slots, 4))
+        engine.run_to_end()
+
+    def test_disabled_obs_never_reads_the_clock(self, clock, tmp_path):
+        obs.disable()
+        self._serve(tmp_path / "wal", clock, 20, checkpoint=True)
+        self._fleet_period(2_000)
+        assert clock["reads"] == 0
+
+    @pytest.mark.parametrize("requests", [20, 50])
+    def test_serving_reads_six_per_submit(self, clock, tmp_path, requests):
+        # Request timer, WAL append timer and fsync timer: two reads each.
+        assert self._serve(tmp_path / "wal", clock, requests) == 6 * requests
+
+    @pytest.mark.parametrize("users", [2_000, 8_000])
+    def test_fleet_reads_per_slot_never_per_bid(self, clock, users):
+        self._fleet_period(users, slots=60)
+        assert clock["reads"] == 2 * 60
 
 
 # ------------------------------------------------------------------- spans --

@@ -378,6 +378,31 @@ def test_lazy_snapshot_columns_are_bit_identical_across_growth():
     assert len(snap.as_batch()) == 5
 
 
+class _CountingRows(list):
+    """A row store that counts indexed reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("rounds", [100, 1_000])
+def test_interleaved_insert_and_scan_seals_only_the_delta(rounds):
+    """Each seal copies only the rows appended since the last one: N
+    interleaved insert + column_array rounds read the row store exactly
+    N x columns times, where a rebuild per scan would read O(N^2)."""
+    table = Table("t", Schema.of(pid="int", halo="int"))
+    table._rows = rows = _CountingRows()
+    for i in range(rounds):
+        table.insert((i, i % 7))
+        assert table.column_array("pid")[-1] == i
+    assert rows.reads == rounds * 2
+    np.testing.assert_array_equal(table.column_array("pid"), np.arange(rounds))
+    np.testing.assert_array_equal(table.column_array("halo"), np.arange(rounds) % 7)
+
+
 # ------------------------------------------------------------ satellites --
 
 
